@@ -373,7 +373,7 @@ def assert_responses_identical(engine, queries, repeat, responses) -> int:
 
 
 def run_single(engine, queries, threads, repeat):
-    config = ServiceConfig(workers=1, coalesce=False, cache_enabled=False)
+    config = ServiceConfig(workers=1, max_batch=1, cache_enabled=False)
     with ServerThread(engine, config) as st:
         report = run_load(
             st.address, queries, threads=threads, top_k=TOP_K,

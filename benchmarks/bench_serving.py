@@ -142,13 +142,13 @@ def run(num_docs, num_queries, num_contexts, threads, repeat):
     # One worker in both arms: the comparison isolates shared context
     # materialisation, not thread parallelism.
     serial_config = ServiceConfig(
-        workers=1, coalesce=False, cache_enabled=False
+        workers=1, max_batch=1, cache_enabled=False
     )
     # max_batch == client concurrency: a closed loop of N clients fills
     # the bucket in one round-trip, so batches flush on size and the
     # timer only backstops stragglers.
     coalesced_config = ServiceConfig(
-        workers=1, coalesce=True, max_batch=threads, max_wait_ms=10.0,
+        workers=1, max_batch=threads, max_wait_ms=10.0,
         cache_enabled=False,
     )
 
@@ -194,7 +194,7 @@ def run(num_docs, num_queries, num_contexts, threads, repeat):
     # max_pending times the worst single-query latency bounds it (with
     # 3x slack for scheduling noise).
     overload_config = ServiceConfig(
-        workers=1, coalesce=True, max_batch=8, max_wait_ms=5.0,
+        workers=1, max_batch=8, max_wait_ms=5.0,
         cache_enabled=False, max_pending=8,
     )
     overload, overload_snap = serve_and_load(

@@ -536,7 +536,6 @@ def _service_config(args: argparse.Namespace):
         default_top_k=args.top_k,
         cache_entries=args.cache_entries,
         cache_enabled=not args.no_cache,
-        coalesce=not args.no_coalesce,
     )
 
 
@@ -848,7 +847,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     try:
         if args.adaptive:
             controller, reference = _adaptive_controller(
-                args, server.service, server.service.metrics.base
+                args, server.service, server.service.metrics
             )
             server.service.recorder = controller.recorder
             server.service.adaptive = controller
@@ -999,8 +998,6 @@ def _add_service_options(p: argparse.ArgumentParser) -> None:
                    help="serving-cache capacity (full query results)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the serving cache")
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="disable micro-batching (batches of one)")
 
 
 def _add_sharding_options(p: argparse.ArgumentParser) -> None:

@@ -986,13 +986,6 @@ class ShardedEngine:
         self.last_reselection = dict(info) if info else None
         return self._authority.bump_catalog(generation)
 
-    def swap_catalogs(
-        self, catalogs: Optional[Sequence[Optional[ViewCatalog]]]
-    ) -> int:
-        """Deprecated alias for :meth:`install_catalog` with one
-        pre-materialised catalog per shard."""
-        return self.install_catalog(catalogs)
-
     def close(self) -> None:
         """Release backend worker pools and shard index resources
         (idempotent)."""

@@ -23,6 +23,7 @@ coherence token, no scattered epoch-bump sites.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -65,7 +66,9 @@ class StatisticsCache:
 
     Keys are canonicalised with :func:`canonical_context_key`, so any
     iterable of predicates (set, list, tuple, in any order) addresses the
-    same entry.
+    same entry.  Batch threads share one cache, so every operation holds
+    the lock: a concurrent eviction between a lookup and its
+    ``move_to_end`` would otherwise raise ``KeyError``.
     """
 
     def __init__(self, max_contexts: int = 128):
@@ -76,6 +79,7 @@ class StatisticsCache:
             OrderedDict()
         )
         self.metrics = CacheMetrics()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -85,21 +89,22 @@ class StatisticsCache:
     ) -> Tuple[Dict[StatisticSpec, float], List[StatisticSpec]]:
         """Return ``(cached values, missing specs)`` for one context."""
         context_key = canonical_context_key(context_key)
-        entry = self._entries.get(context_key)
-        if entry is None:
-            self.metrics.spec_misses += len(specs)
-            return {}, list(specs)
-        self._entries.move_to_end(context_key)
-        found: Dict[StatisticSpec, float] = {}
-        missing: List[StatisticSpec] = []
-        for spec in specs:
-            if spec in entry:
-                found[spec] = entry[spec]
-            else:
-                missing.append(spec)
-        self.metrics.spec_hits += len(found)
-        self.metrics.spec_misses += len(missing)
-        return found, missing
+        with self._lock:
+            entry = self._entries.get(context_key)
+            if entry is None:
+                self.metrics.spec_misses += len(specs)
+                return {}, list(specs)
+            self._entries.move_to_end(context_key)
+            found: Dict[StatisticSpec, float] = {}
+            missing: List[StatisticSpec] = []
+            for spec in specs:
+                if spec in entry:
+                    found[spec] = entry[spec]
+                else:
+                    missing.append(spec)
+            self.metrics.spec_hits += len(found)
+            self.metrics.spec_misses += len(missing)
+            return found, missing
 
     def store(
         self,
@@ -108,19 +113,21 @@ class StatisticsCache:
     ) -> None:
         """Merge resolved values into the context's entry (LRU-evicting)."""
         context_key = canonical_context_key(context_key)
-        entry = self._entries.get(context_key)
-        if entry is None:
-            entry = self._entries[context_key] = {}
-        entry.update(values)
-        self._entries.move_to_end(context_key)
-        while len(self._entries) > self.max_contexts:
-            self._entries.popitem(last=False)
-            self.metrics.evictions += 1
+        with self._lock:
+            entry = self._entries.get(context_key)
+            if entry is None:
+                entry = self._entries[context_key] = {}
+            entry.update(values)
+            self._entries.move_to_end(context_key)
+            while len(self._entries) > self.max_contexts:
+                self._entries.popitem(last=False)
+                self.metrics.evictions += 1
 
     def invalidate(self) -> None:
         """Drop everything (call after any document ingestion)."""
-        self.metrics.invalidations += 1
-        self._entries.clear()
+        with self._lock:
+            self.metrics.invalidations += 1
+            self._entries.clear()
 
 
 class CachingSearchEngine:

@@ -50,6 +50,7 @@ import mmap
 import os
 import struct
 import sys
+import threading
 import zlib
 from array import array
 from collections import OrderedDict
@@ -313,28 +314,37 @@ def is_block_file(path) -> bool:
 
 
 class _BlockCache:
-    """Tiny LRU of decoded blocks, keyed by (list data offset, block no)."""
+    """Tiny LRU of decoded blocks, keyed by (list data offset, block no).
 
-    __slots__ = ("capacity", "_entries")
+    Serving threads share one file's cache, so every operation holds the
+    lock: another thread's eviction between a lookup and its
+    ``move_to_end`` would otherwise raise ``KeyError``.
+    """
+
+    __slots__ = ("capacity", "_entries", "_lock")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self._entries: "OrderedDict" = OrderedDict()
+        self._lock = threading.Lock()
 
     def get(self, key):
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
 
     def put(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
 
 class _LazyFieldTokens(dict):

@@ -254,7 +254,7 @@ class InvertedIndex:
 
     @property
     def epoch(self) -> int:
-        """The index's :class:`~repro.lifecycle.version.VersionClock` value.
+        """The index's :class:`~repro.core.backend.VersionClock` value.
 
         One committed mutation (post-commit document batch here; delete,
         flush, or compaction in the segment lifecycle) is one tick.

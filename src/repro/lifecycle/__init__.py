@@ -17,17 +17,17 @@ assumes):
   set + monotonic version), so concurrent serving never observes a
   half-applied mutation;
 * the snapshot version — one
-  :class:`~repro.lifecycle.version.VersionClock` per index — is the
+  :class:`~repro.core.backend.VersionClock` per index — is the
   single epoch source every cache in the system consumes.
 
-Exports resolve lazily (PEP 562) because :mod:`repro.index` imports the
-version clock from here; eager re-exports would be circular.
+Exports resolve lazily (PEP 562).  ``VersionClock`` lives in
+:mod:`repro.core.backend` and is re-exported through the index module.
 """
 
 from __future__ import annotations
 
 _EXPORTS = {
-    "VersionClock": "version",
+    "VersionClock": "index",
     "WriteAheadLog": "wal",
     "replay_wal": "wal",
     "Memtable": "memtable",

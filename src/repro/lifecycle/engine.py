@@ -12,7 +12,7 @@ old engine (and its snapshot) stay fully usable for whatever in-flight
 work still holds them.
 
 Freshness flows through one number: ``engine.epoch`` delegates to the
-segmented index's :class:`~repro.lifecycle.version.VersionClock`, which
+segmented index's :class:`~repro.core.backend.VersionClock`, which
 is the same value each snapshot is stamped with, which is the same value
 the statistics cache guards on and the serving result cache keys on.
 There is no second counter anywhere to drift.

@@ -3,7 +3,7 @@
 :class:`SegmentedIndex` is the mutable coordinator of the lifecycle: one
 in-memory :class:`~repro.lifecycle.memtable.Memtable`, a list of
 immutable :class:`~repro.lifecycle.segment.Segment` objects, a global
-tombstone set, and the one :class:`~repro.lifecycle.version.VersionClock`
+tombstone set, and the one :class:`~repro.core.backend.VersionClock`
 the whole serving stack keys freshness on.
 
 Mutations (:meth:`add_documents`, :meth:`delete_documents`) hit the WAL
@@ -44,7 +44,7 @@ from .memtable import Memtable
 from .segment import Segment
 from .snapshot import Snapshot
 from .storage import SEGMENT_FORMAT_VERSION, SegmentStorage
-from .version import VersionClock
+from ..core.backend import VersionClock
 from .wal import OP_ADD, WriteAheadLog, replay_wal
 
 __all__ = ["SegmentedIndex", "CompactionReport"]

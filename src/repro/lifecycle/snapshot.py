@@ -2,7 +2,7 @@
 
 A :class:`Snapshot` is the read contract of the segment lifecycle: an
 immutable triple of *(segment list, tombstone set, version)* captured at
-one :class:`~repro.lifecycle.version.VersionClock` tick.  Every query
+one :class:`~repro.core.backend.VersionClock` tick.  Every query
 runs start-to-finish against one snapshot, so concurrent flushes,
 deletes, and compactions can never expose a half-applied mutation —
 the serving layer swaps whole snapshots, never patches one.

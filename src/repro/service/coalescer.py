@@ -18,16 +18,26 @@ Flush policy is the classic dynamic-batching pair:
   bucket flushes whatever it holds, bounding the latency cost of
   coalescing at ``max_wait_ms`` regardless of traffic.
 
-Execution happens off the event loop: the batch callable runs on the
-worker pool via ``run_in_executor``, and per-request results are posted
-back to each submitter's future.  The callable receives the submitted
-items in arrival order and must return one result per item, in order.
+The batch step is a coroutine, so the coalescer never knows where a
+batch runs: the query service awaits its worker pool, the cluster router
+awaits a scatter-gather over the wire.  Per-request results are posted
+back to each submitter's future.  The step receives the submitted items
+in arrival order and must return one result per item, in order.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 __all__ = ["Coalescer"]
 
@@ -43,17 +53,16 @@ class _Bucket:
 class Coalescer:
     """Collects submissions per batch key; flushes on size or timer.
 
-    ``execute`` is a *blocking* callable ``(key, items) -> results``
-    (one result per item, in order) run on ``pool``; ``observe_batch``
-    (optional) receives ``(size, reason)`` per flush for metrics.
+    ``execute`` is an async callable ``(key, items) -> results`` (one
+    result per item, in order); ``observe_batch`` (optional) receives
+    ``(size, reason)`` per flush for metrics.
     """
 
     def __init__(
         self,
-        execute: Callable[[Any, Sequence[Any]], Sequence[Any]],
+        execute: Callable[[Any, Sequence[Any]], Awaitable[Sequence[Any]]],
         max_batch: int = 16,
         max_wait_ms: float = 2.0,
-        pool=None,
         observe_batch: Optional[Callable[[int, str], None]] = None,
     ):
         if max_batch < 1:
@@ -63,7 +72,6 @@ class Coalescer:
         self._execute = execute
         self.max_batch = max_batch
         self.max_wait = max_wait_ms / 1000.0
-        self._pool = pool
         self._observe_batch = observe_batch
         self._buckets: Dict[Any, _Bucket] = {}
         self._tasks: set = set()
@@ -117,21 +125,16 @@ class Coalescer:
             bucket.timer.cancel()
         if self._observe_batch is not None:
             self._observe_batch(len(bucket.entries), reason)
-        task = loop.create_task(self._dispatch(loop, key, bucket.entries))
+        task = loop.create_task(self._dispatch(key, bucket.entries))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
     async def _dispatch(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        key: Any,
-        entries: List[Tuple[Any, asyncio.Future]],
+        self, key: Any, entries: List[Tuple[Any, asyncio.Future]]
     ) -> None:
         items = [item for item, _ in entries]
         try:
-            results = await loop.run_in_executor(
-                self._pool, self._execute, key, items
-            )
+            results = await self._execute(key, items)
             if len(results) != len(items):
                 raise RuntimeError(
                     f"batch executor returned {len(results)} results "

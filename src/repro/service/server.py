@@ -1,4 +1,4 @@
-"""The asyncio query server: admit → coalesce → plan → execute → cache.
+"""The asyncio query server: admit → cache → coalesce → run → respond.
 
 :class:`QueryService` is the transport-free request handler (the tests
 drive it directly); :class:`QueryServer` binds it to an asyncio TCP
@@ -11,19 +11,36 @@ Request lifecycle (one ``op: query`` line)::
 
     decode ─▶ admission ──shed──▶ respond {"status": "shed"}
                   │
-                  ├─▶ serving-cache lookup (canonical key + epoch) ──hit──▶ respond
+                  ├─▶ serving-cache lookup (key + version) ──hit──▶ respond
                   │
                   ├─▶ degrade? (queue ≥ degrade_depth ⇒ force cheap path)
                   │
-                  └─▶ coalescer.submit ─▶ [micro-batch window] ─▶ worker pool
-                            │                    BatchExecutor / search_many
+                  └─▶ coalescer.submit ─▶ [micro-batch window]
+                            │                     │
+                            │                     ▼
+                            │        await _run_batch(key, tickets)
+                            │          local:  worker pool ─▶ BatchExecutor
+                            │                  / search_many
+                            │          router: scatter-gather over shards
                             │  deadline fires ⇒ respond {"status": "timeout"}
-                            │  (the ticket is cancelled; execution is
-                            │   skipped if it has not started)
+                            │  (the ticket is cancelled; the batch step
+                            │   skips it if execution has not started)
                             ▼
-                      cache.put + respond {"status": "ok", hits, report}
+                      per-ticket outcome
+                        ok ─▶ cache.put + respond {hits, report}
+                        error / shed ─▶ respond with the error text
 
-Evaluation itself is the engines' existing synchronous machinery —
+In this pipeline the batch step is the only difference between serving
+local engines and serving the cluster:
+:class:`~repro.service.cluster.router.RouterService` subclasses
+:class:`QueryService` and overrides :meth:`_run_batch` with its
+scatter-gather.  Both steps answer one outcome per ticket — ``None``
+for a skipped ticket, ``{"status": "ok", "body": results_body(...)}``,
+or ``{"status": ..., "error": ...}`` — and an exception escaping the
+step answers every ticket in the batch with an error, so no request is
+ever dropped.
+
+Local evaluation is the engines' existing synchronous machinery —
 :class:`~repro.core.engine.BatchExecutor` for a flat engine (shared
 context materialisations, prefetch, thread fan-out) or
 :meth:`~repro.core.sharded_engine.ShardedEngine.search_many` for a
@@ -40,11 +57,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..core.backend import VersionVector
-from ..core.engine import BatchExecutor, BatchOutcome
+from ..core.engine import BatchExecutor
 from ..errors import QueryError, ReproError
 from .admission import AdmissionController, Ticket
 from .coalescer import Coalescer
@@ -66,9 +83,27 @@ from .protocol import (
 )
 from .result_cache import ResultCache
 
-__all__ = ["QueryServer", "QueryService", "ServerThread", "ServiceConfig"]
+__all__ = [
+    "QueryServer",
+    "QueryService",
+    "ServerThread",
+    "ServiceConfig",
+    "results_body",
+]
 
 PATH_AUTO = "auto"
+
+
+def results_body(mode: str, results) -> dict:
+    """The response body (and cached payload) for one answered query."""
+    return {
+        "mode": mode,
+        "hits": [
+            {"doc": hit.external_id, "doc_id": hit.doc_id, "score": hit.score}
+            for hit in results.hits
+        ],
+        "report": results.report.to_dict(),
+    }
 
 
 @dataclass
@@ -87,7 +122,6 @@ class ServiceConfig:
     default_top_k: int = 10
     cache_entries: int = 1024
     cache_enabled: bool = True
-    coalesce: bool = True  # False = batches of one (bench baseline arm)
     drain_timeout: float = 10.0
 
     def __post_init__(self) -> None:
@@ -101,19 +135,31 @@ class ServiceConfig:
 
 
 class QueryService:
-    """Transport-free request handling: the whole lifecycle minus sockets."""
+    """Transport-free request handling: the whole lifecycle minus sockets.
+
+    Subclasses change what a batch runs on by overriding
+    :meth:`_run_batch`; ``metrics`` lets them bring a
+    :class:`ServiceMetrics` subclass with extra signals.
+    """
 
     # Per-service frame limit; shard workers raise it for router batches.
     line_limit = MAX_LINE_BYTES
+    # How the shed error names this front end ("server overloaded: …").
+    role = "server"
 
-    def __init__(self, engine, config: Optional[ServiceConfig] = None):
+    def __init__(
+        self,
+        engine,
+        config: Optional[ServiceConfig] = None,
+        metrics: Optional[ServiceMetrics] = None,
+    ):
         self.engine = engine
         self.config = config if config is not None else ServiceConfig()
         # Duck-typed engine split: anything with search_many runs its own
         # batch fan-out (the sharded engine); everything else goes
         # through BatchExecutor (plain or wrapped flat engines).
         self._sharded = hasattr(engine, "search_many")
-        self.metrics = ServiceMetrics()
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
         # Adaptive selection attachments (optional; wired by the CLI's
         # ``serve --adaptive`` or by tests): served queries fold into the
         # recorder, and the controller owns the background reselection
@@ -131,10 +177,9 @@ class QueryService:
             thread_name_prefix="repro-serve",
         )
         self.coalescer = Coalescer(
-            self._execute_batch,
-            max_batch=self.config.max_batch if self.config.coalesce else 1,
-            max_wait_ms=self.config.max_wait_ms if self.config.coalesce else 0.0,
-            pool=self.pool,
+            self._run_batch,
+            max_batch=self.config.max_batch,
+            max_wait_ms=self.config.max_wait_ms,
             observe_batch=self.metrics.observe_batch,
         )
 
@@ -305,7 +350,7 @@ class QueryService:
                 STATUS_SHED,
                 started,
                 error=(
-                    f"server overloaded: {self.admission.max_pending} "
+                    f"{self.role} overloaded: {self.admission.max_pending} "
                     "requests already pending"
                 ),
             )
@@ -371,7 +416,7 @@ class QueryService:
         )
         ticket = Ticket(request, deadline=deadline, degraded=degraded)
 
-        submit = self.coalescer.submit((mode, top_k, path), ticket)
+        submit = self._outcome((mode, top_k, path), ticket)
         try:
             if deadline is not None:
                 remaining = max(deadline - time.monotonic(), 0.0)
@@ -396,36 +441,43 @@ class QueryService:
                 started,
                 error=f"deadline of {timeout_ms:g}ms expired before execution",
             )
-        if not outcome.ok:
+        status = outcome["status"]
+        if status == STATUS_SHED:  # the router's whole-group-down shed
+            self.metrics.observe_shed()
+            return self._respond(
+                request, STATUS_SHED, started, error=outcome["error"]
+            )
+        if status != STATUS_OK:
             self.metrics.observe_error(time.monotonic() - started)
             return self._respond(
-                request, STATUS_ERROR, started, error=outcome.error
+                request, STATUS_ERROR, started, error=outcome["error"]
             )
 
-        results = outcome.results
-        body = {
-            "mode": mode,
-            "hits": [
-                {
-                    "doc": hit.external_id,
-                    "doc_id": hit.doc_id,
-                    "score": hit.score,
-                }
-                for hit in results.hits
-            ],
-            "report": results.report.to_dict(),
-        }
+        body = outcome["body"]
+        report = body["report"]
         if cache_key is not None:
             self.result_cache.put(cache_key, epoch, body)
-        self._record_workload(request.query, results.report.context_size)
-        self.metrics.observe_path(results.report.resolution.path)
-        self.metrics.observe_topk(results.report.topk)
+        self._record_workload(request.query, report["context_size"])
+        self.metrics.observe_path(report["resolution"]["path"])
+        self.metrics.observe_topk(report["topk"])
         self.metrics.observe_ok(
             time.monotonic() - started, degraded=degraded
         )
         return self._respond(
             request, STATUS_OK, started, body=body, degraded=degraded
         )
+
+    async def _outcome(self, key: tuple, ticket: Ticket) -> Optional[dict]:
+        """Submit one ticket and await its outcome.  A batch step that
+        raises answers every ticket in its batch with the error instead
+        of leaving the clients waiting for a response that never comes."""
+        try:
+            return await self.coalescer.submit(key, ticket)
+        except Exception as exc:  # noqa: BLE001 - answer, never drop
+            return {
+                "status": STATUS_ERROR,
+                "error": f"{type(exc).__name__}: {exc}",
+            }
 
     def _respond(
         self,
@@ -453,11 +505,25 @@ class QueryService:
             payload["degraded"] = True
         return payload
 
-    # -- batch execution (worker thread) --------------------------------
+    # -- batch execution ------------------------------------------------
+
+    async def _run_batch(
+        self, key: Tuple[str, Optional[int], str], tickets: Sequence[Ticket]
+    ) -> List[Optional[dict]]:
+        """The batch step: one outcome per ticket, in order.
+
+        Local engines are synchronous, so the batch runs on the worker
+        pool; ``_execute_batch`` is looked up per call so it can be
+        replaced on an instance.
+        """
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            self.pool, self._execute_batch, key, tickets
+        )
 
     def _execute_batch(
         self, key: Tuple[str, Optional[int], str], tickets: Sequence[Ticket]
-    ) -> Sequence[Optional[BatchOutcome]]:
+    ) -> List[Optional[dict]]:
         """Run one coalesced batch through the engine (blocking).
 
         Tickets whose deadline expired (or whose waiter gave up) while
@@ -466,7 +532,7 @@ class QueryService:
         """
         mode, top_k, path = key
         live = [i for i, t in enumerate(tickets) if not t.skip]
-        out: list = [None] * len(tickets)
+        out: List[Optional[dict]] = [None] * len(tickets)
         if not live:
             return out
         queries = [tickets[i].request.query for i in live]
@@ -479,7 +545,11 @@ class QueryService:
                 self.engine, max_workers=self.config.effective_workers()
             ).run(queries, top_k=top_k, mode=mode, path=path)
         for slot, outcome in zip(live, report.outcomes):
-            out[slot] = outcome
+            if outcome.ok:
+                body = results_body(mode, outcome.results)
+                out[slot] = {"status": STATUS_OK, "body": body}
+            else:
+                out[slot] = {"status": STATUS_ERROR, "error": outcome.error}
         return out
 
 

@@ -7,6 +7,10 @@ exercises realistic scale and distributions.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro import (
@@ -113,3 +117,36 @@ def corpus_db(corpus_table) -> TransactionDatabase:
 @pytest.fixture(scope="session")
 def corpus_estimator(corpus_table) -> ViewSizeEstimator:
     return ViewSizeEstimator(corpus_table, seed=7)
+
+
+def hammer(work, threads: int, seconds: float = 1.0) -> list:
+    """Call ``work(thread_no, i)`` in a loop on ``threads`` threads for
+    ``seconds`` under a 1µs switch interval (so unlocked check-then-act
+    sequences interleave); returns the exceptions the threads raised."""
+    errors: list = []
+    stop = time.monotonic() + seconds
+
+    def run(thread_no: int) -> None:
+        i = 0
+        try:
+            while time.monotonic() < stop:
+                work(thread_no, i)
+                i += 1
+        except Exception as exc:  # noqa: BLE001 - reported to the test
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=run, args=(n,), daemon=True)
+            for n in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=seconds + 30.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(worker.is_alive() for worker in workers)
+    return errors

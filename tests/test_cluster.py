@@ -380,15 +380,36 @@ class FakeWorker:
         self._thread.join(timeout=5.0)
 
 
-@contextlib.contextmanager
-def router_over_fake_worker(reply: bytes, truncate: bool = False):
-    fake = FakeWorker(reply, truncate=truncate)
-    cluster = ClusterConfig.from_payload(
+class RecordingWorker(FakeWorker):
+    """A stand-in worker that records every op it receives and answers
+    each request line with an empty ``ok`` frame carrying its id."""
+
+    def __init__(self):
+        self.ops: list = []
+        super().__init__(b"")
+
+    def _handle(self, conn: socket.socket) -> None:
+        try:
+            conn.settimeout(5.0)
+            for line in conn.makefile("rb"):
+                frame = json.loads(line)
+                self.ops.append(frame.get("op"))
+                reply = {"id": frame.get("id"), "status": "ok", "results": []}
+                conn.sendall(json.dumps(reply).encode("utf-8") + b"\n")
+        except (OSError, ValueError):
+            pass
+        finally:
+            with contextlib.suppress(OSError):
+                conn.close()
+
+
+def one_worker_cluster(address: str) -> ClusterConfig:
+    return ClusterConfig.from_payload(
         {
             "kind": "cluster",
             "num_shards": 1,
             "replication": 1,
-            "groups": [{"shard": 0, "replicas": [fake.address]}],
+            "groups": [{"shard": 0, "replicas": [address]}],
             "router": {
                 "health_interval_s": 30.0,
                 "fail_threshold": 10,
@@ -396,7 +417,26 @@ def router_over_fake_worker(reply: bytes, truncate: bool = False):
             },
         }
     )
-    router = router_thread(cluster, _worker_config())
+
+
+@contextlib.contextmanager
+def router_over_recording_worker(**config):
+    fake = RecordingWorker()
+    router = router_thread(
+        one_worker_cluster(fake.address), _worker_config(**config)
+    )
+    router.start()
+    try:
+        yield fake, router
+    finally:
+        router.stop(timeout=10.0)
+        fake.close()
+
+
+@contextlib.contextmanager
+def router_over_fake_worker(reply: bytes, truncate: bool = False):
+    fake = FakeWorker(reply, truncate=truncate)
+    router = router_thread(one_worker_cluster(fake.address), _worker_config())
     router.start()
     client = ServiceClient(*router.address)
     try:
@@ -453,6 +493,42 @@ class TestMalformedWorkerFrames:
                 assert "cluster-internal" in response["error"]
             finally:
                 client.close()
+
+
+class TestRouterServingPath:
+    """The router serves through QueryService's pipeline: a deadline that
+    expires in the batch window skips execution, and admission sheds."""
+
+    def test_deadline_expired_in_window_reaches_no_worker(self):
+        with router_over_recording_worker(
+            max_batch=64, max_wait_ms=200.0
+        ) as (fake, router):
+            with ServiceClient(*router.address) as client:
+                response = client.query(
+                    "pancreas | DigestiveSystem", timeout_ms=5
+                )
+                time.sleep(0.5)  # the 200ms window flushes meanwhile
+                metrics = client.metrics()
+        assert response["status"] == "timeout"
+        assert "deadline" in response["error"]
+        assert metrics["timeouts"] == 1
+        assert "healthz" in fake.ops  # the worker was reachable
+        assert "shard_resolve" not in fake.ops
+
+    def test_sheds_past_max_pending_naming_the_router(self):
+        with router_over_recording_worker(max_pending=1) as (fake, router):
+            admission = router.service.admission
+            assert admission.try_admit()  # occupy the only slot
+            try:
+                with ServiceClient(*router.address) as client:
+                    response = client.query("pancreas | DigestiveSystem")
+                    metrics = client.metrics()
+            finally:
+                admission.release()
+        assert response["status"] == "shed"
+        assert "router overloaded" in response["error"]
+        assert metrics["shed"] == 1
+        assert "shard_resolve" not in fake.ops
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ class TestCoalescer:
     def test_flush_on_size(self):
         batches = []
 
-        def execute(key, items):
+        async def execute(key, items):
             batches.append(list(items))
             return [item * 10 for item in items]
 
@@ -315,7 +315,7 @@ class TestCoalescer:
     def test_flush_on_timer(self):
         batches = []
 
-        def execute(key, items):
+        async def execute(key, items):
             batches.append(list(items))
             return list(items)
 
@@ -331,7 +331,7 @@ class TestCoalescer:
     def test_distinct_keys_do_not_coalesce(self):
         batches = []
 
-        def execute(key, items):
+        async def execute(key, items):
             batches.append((key, list(items)))
             return list(items)
 
@@ -346,7 +346,7 @@ class TestCoalescer:
         assert sorted(batches) == [("k1", [1]), ("k2", [2])]
 
     def test_executor_failure_fans_out(self):
-        def execute(key, items):
+        async def execute(key, items):
             raise RuntimeError("boom")
 
         async def drive():
@@ -363,7 +363,7 @@ class TestCoalescer:
         assert all(isinstance(r, RuntimeError) for r in results)
 
     def test_wrong_result_count_is_an_error(self):
-        def execute(key, items):
+        async def execute(key, items):
             return [1]  # always one result, whatever was asked
 
         async def drive():
@@ -381,7 +381,7 @@ class TestCoalescer:
     def test_max_batch_one_dispatches_immediately(self):
         batches = []
 
-        def execute(key, items):
+        async def execute(key, items):
             batches.append(list(items))
             return list(items)
 
@@ -560,6 +560,26 @@ class TestQueryService:
         assert executed == []  # skipped before execution, no engine work
         assert service.metrics.timeouts == 1
 
+    def test_failed_batch_answers_with_error(self, handmade_engine):
+        """An exception escaping the batch step is a per-request error
+        response, counted, with the admission slot released."""
+        service = make_service(handmade_engine)
+
+        def failing(key, tickets):
+            raise KeyError("evicted")
+
+        service._execute_batch = failing
+        try:
+            response = run_async(
+                service.handle_request(query_request("pancreas | Diseases"))
+            )
+        finally:
+            service.close()
+        assert response["status"] == "error"
+        assert response["error"] == "KeyError: 'evicted'"
+        assert service.metrics.errors == 1
+        assert service.admission.depth == 0
+
     def test_healthz(self, handmade_engine):
         service = make_service(handmade_engine)
         try:
@@ -706,6 +726,23 @@ class TestServerEndToEnd:
 
                 snap = client.metrics()
                 assert snap["requests"] >= 2
+
+    def test_failed_batch_reaches_the_client(self, handmade_engine):
+        """A client whose batch raised gets an error line, not silence."""
+
+        class FailingService(QueryService):
+            def _execute_batch(self, key, tickets):
+                raise KeyError("evicted")
+
+        with ServerThread(
+            handmade_engine, ServiceConfig(max_wait_ms=1.0),
+            service_class=FailingService,
+        ) as st:
+            with ServiceClient(*st.address, timeout=10.0) as client:
+                response = client.query("pancreas | Diseases", id=7)
+        assert response["status"] == "error"
+        assert response["id"] == 7
+        assert "KeyError" in response["error"]
 
     def test_request_ids_round_trip(self, handmade_engine):
         with ServerThread(handmade_engine) as st:

@@ -6,6 +6,8 @@ from repro import ContextSearchEngine
 from repro.core.stats_cache import CachingSearchEngine, StatisticsCache
 from repro.core.statistics import cardinality_spec, df_spec
 
+from .conftest import hammer
+
 
 class TestStatisticsCache:
     def test_lookup_miss_then_hit(self):
@@ -30,6 +32,20 @@ class TestStatisticsCache:
         # "a" was evicted; "b" and "c" remain.
         found, _ = cache.lookup(frozenset({"a"}), [cardinality_spec()])
         assert not found
+
+    def test_concurrent_lookup_and_store_never_raise(self):
+        """Batch threads share one cache: an eviction landing between a
+        lookup and its LRU refresh must not raise ``KeyError``."""
+        cache = StatisticsCache(max_contexts=2)
+        spec = cardinality_spec()
+
+        def work(thread_no, i):
+            key = (f"p{(thread_no + i) % 4}",)
+            cache.store(key, {spec: i})
+            cache.lookup(key, [spec])
+
+        assert hammer(work, threads=2) == []
+        assert len(cache) <= 2
 
     def test_lru_refresh_on_lookup(self):
         cache = StatisticsCache(max_contexts=2)

@@ -11,7 +11,7 @@ from repro.storage import (
     save_index,
 )
 
-from .conftest import HANDMADE_DOCS
+from .conftest import HANDMADE_DOCS, hammer
 
 
 class TestIndexRoundTrip:
@@ -349,6 +349,21 @@ class TestBinaryFormatV4:
         path = tmp_path / "idx.bin"
         save_index(handmade_index, path, format=4)
         return path
+
+    def test_block_cache_is_thread_safe(self):
+        """Serving threads share a file's decoded-block LRU: an eviction
+        landing between a lookup and its refresh must not raise."""
+        from repro.index.blockstore import _BlockCache
+
+        cache = _BlockCache(2)
+
+        def work(thread_no, i):
+            key = (thread_no + i) % 5
+            cache.put(key, i)
+            cache.get(key)
+
+        assert hammer(work, threads=4) == []
+        assert len(cache._entries) <= 2
 
     def test_rankings_bit_identical_to_eager_v3(
         self, tmp_path, v4_path, handmade_index
